@@ -354,6 +354,7 @@ def _query_remote(address: str, query_pairs) -> int:
 def _cmd_serve(args) -> int:
     """Run the TCP reachability service until interrupted."""
     import asyncio
+    import gc
     import signal
 
     from repro.service import IndexManager, ReachabilityService
@@ -420,6 +421,10 @@ def _cmd_serve(args) -> int:
 
     async def run() -> None:
         host, port = await service.start()
+        # the graph, shadow and index built above live as long as the
+        # process: keep the cyclic collector from re-walking them on
+        # every full collection (80-470 ms each at 2e4-8e4 nodes)
+        gc.freeze()
         print(f"serving {label} on {host}:{port} "
               f"(engine {manager.stats()['engine']}, "
               f"epoch {manager.epoch}, writable={manager.writable})",
@@ -844,8 +849,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP port (0 picks a free one)")
     serve.add_argument("--max-batch", type=int, default=128,
                        help="largest coalesced query batch")
-    serve.add_argument("--max-wait-us", type=int, default=500,
-                       help="micro-batch coalescing window in µs")
+    serve.add_argument("--max-wait-us", type=int, default=900,
+                       help="how long the first query of a micro-batch "
+                            "waits for company, in µs (default 900; 0 "
+                            "flushes at once and coalesces what arrives "
+                            "during the flush)")
     serve.add_argument("--max-pending", type=int, default=1024,
                        help="query queue bound before 'overloaded'")
     serve.add_argument("--cache-size", type=int, default=4096,

@@ -3,15 +3,23 @@
 The static index answers a 256-query batch barely slower than a single
 query once the per-call overhead (attribute lookups, kernel dispatch,
 OBS bookkeeping) is paid, so the cheapest way to serve many concurrent
-clients is the inference-server trick: queue single queries as they
-arrive, wait at most ``max_wait_us`` for company, and hand the whole
-batch to :meth:`ChainIndex.is_reachable_many` at once.
+clients is to queue single queries as they arrive and hand each batch
+to :meth:`ChainIndex.is_reachable_many` at once.
+
+By default the first query of a flush waits ``max_wait_us`` for
+company.  With ``max_wait_us=0`` the flush is work-conserving (group
+commit): the flush loop answers whatever is queued the moment it wakes,
+yields once to the event loop, and then answers whatever arrived during
+that flush, so a lone query never waits and batches grow with
+concurrency on their own.
 
 Policy knobs:
 
 * ``max_batch`` — largest coalesced batch handed to the kernel;
-* ``max_wait_us`` — how long the first query in an empty queue waits
-  for companions before the flush (the latency price of batching);
+* ``max_wait_us`` — how long the first query in a flush waits for
+  companions (default 900).  The sub-millisecond part of the window is
+  slept on the loop thread, since the event loop can only wait in whole
+  milliseconds.  0 selects group commit;
 * ``max_pending`` — bound on queued queries.  At the bound,
   :meth:`submit` fails fast with :class:`OverloadedError` — explicit
   backpressure instead of unbounded buffering.
@@ -53,7 +61,7 @@ class MicroBatcher:
 
     def __init__(self, manager: IndexManager,
                  cache: ResultCache | None = None, *,
-                 max_batch: int = 128, max_wait_us: int = 500,
+                 max_batch: int = 128, max_wait_us: int = 900,
                  max_pending: int = 1024) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
@@ -177,7 +185,7 @@ class MicroBatcher:
                 if self.max_wait_us and len(self._pending) < self.max_batch:
                     # coalescing window: let concurrent submitters pile
                     # into this flush
-                    await asyncio.sleep(self.max_wait_us / 1e6)
+                    await self._coalesce()
                 try:
                     self._flush_once()
                 except Exception:  # noqa: BLE001 - a poisoned batch must
@@ -185,9 +193,40 @@ class MicroBatcher:
                     # hang until its request timeout
                     if OBS.enabled:
                         OBS.count("service/flush_errors")
-                await asyncio.sleep(0)       # yield to submitters
+                # group commit: yield once so submitters that arrived
+                # during the flush join the next one
+                await asyncio.sleep(0)
                 if self._closed:
                     return
+
+    async def _coalesce(self) -> None:
+        """Hold the flush open for ``max_wait_us``.
+
+        The event loop waits in whole milliseconds (epoll rounds a
+        timeout up), so ``asyncio.sleep(0.0005)`` held a flush for
+        ~1.2 ms.  Whole milliseconds are waited on the loop; the rest
+        of the window is slept on the loop thread, so the loop blocks
+        for less than 1 ms, and requests of every kind that arrive
+        meanwhile are read when it ends.  Sleeping the rest on an
+        executor thread instead kept the loop free but cost the
+        hand-off back: point round trips 0.14 ms slower at 900 µs.
+        Yields after the window read the sockets that became readable
+        and let their handlers queue before the flush.
+        """
+        window = self.max_wait_us / 1e6
+        deadline = time.perf_counter() + window
+        whole = int(window * 1e3) / 1e3
+        if whole:
+            await asyncio.sleep(whole)
+        else:
+            await asyncio.sleep(0)           # take in what already arrived
+        rest = deadline - time.perf_counter()
+        if rest > 0:
+            time.sleep(rest)
+        # one yield reads the ready sockets, one runs their handlers,
+        # one lets this loop run after them
+        for _ in range(3):
+            await asyncio.sleep(0)
 
     def _flush_all(self) -> None:
         while self._pending:

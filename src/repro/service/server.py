@@ -36,13 +36,16 @@ Operational guarantees:
 
 * **per-request timeout** — a request that cannot be answered within
   ``request_timeout`` seconds gets a ``timeout`` error instead of
-  wedging its connection;
+  wedging its connection.  A loop timer cancels the connection's own
+  task at the deadline (no wrapper task per request); only that
+  cancellation becomes ``timeout``, any other (shutdown) propagates;
 * **bounded backpressure** — the micro-batch queue is bounded; at the
   bound clients get an explicit ``overloaded`` error, never unbounded
   buffering;
 * **graceful drain** — :meth:`ReachabilityService.shutdown` stops
-  accepting connections, flushes every queued query, lets in-flight
-  requests finish within a grace period, and only then tears down.
+  accepting connections, ends idle connections at once, flushes every
+  queued query, lets in-flight requests finish within a grace period,
+  and only then tears down.
 
 :func:`start_in_thread` runs a service on a background thread with its
 own event loop — how a synchronous embedder (the CLI tests, a WSGI
@@ -52,6 +55,7 @@ app) hosts one.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import threading
 import time
@@ -81,6 +85,18 @@ __all__ = ["ReachabilityService", "ThreadedService", "start_in_thread"]
 MAX_LINE_BYTES = 4 * 1024 * 1024
 
 
+def _withdraw_timeout(task: asyncio.Task) -> bool:
+    """Withdraw the request timer's cancel request from ``task``.
+
+    Returns False when another cancel request (shutdown) is still
+    pending, so the caller re-raises instead of answering ``timeout``.
+    Python 3.10 tasks do not count cancel requests (no ``uncancel``);
+    there the timer's flag alone decides.
+    """
+    uncancel = getattr(task, "uncancel", None)
+    return uncancel is None or uncancel() == 0
+
+
 def _scalar(value, name: str):
     """Reject wire values that cannot be node ids / cache keys.
 
@@ -99,7 +115,7 @@ class ReachabilityService:
 
     def __init__(self, manager: IndexManager, *,
                  host: str = "127.0.0.1", port: int = 0,
-                 max_batch: int = 128, max_wait_us: int = 500,
+                 max_batch: int = 128, max_wait_us: int = 900,
                  max_pending: int = 1024, cache_size: int = 4096,
                  request_timeout: float = 10.0,
                  drain_grace: float = 5.0,
@@ -134,6 +150,10 @@ class ReachabilityService:
         self._port = port
         self._server: asyncio.AbstractServer | None = None
         self._connections: set[asyncio.Task] = set()
+        #: connections parked in ``readline()`` between requests, by
+        #: handler task: ``(reader, transport)``.  Drain ends these at
+        #: once instead of waiting out ``drain_grace`` for them.
+        self._idle: dict[asyncio.Task, tuple] = {}
         self._draining = False
         self._started_at = 0.0
         self.requests = 0
@@ -221,7 +241,7 @@ class ReachabilityService:
                         queued=self.batcher.queue_depth)
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
+        self._close_idle_connections()
         if self._metrics_server is not None:
             self._metrics_server.close()
             await self._metrics_server.wait_closed()
@@ -232,12 +252,28 @@ class ReachabilityService:
         await self.batcher.close(drain=True)
         for task in list(self._connections):
             task.cancel()
+        if self._server is not None:
+            # on 3.12+ this also waits for every connection to close,
+            # so it comes after the idle close and the grace period
+            await self._server.wait_closed()
         if self.capture is not None:
             self.capture.close()
             self._log_event("capture_flush", **self.capture.describe())
         self.manager.close()
         self._log_event("drain_finish", requests=self.requests,
                         errors=self.errors)
+
+    def _close_idle_connections(self) -> None:
+        """End every connection parked between requests.
+
+        Reading stops and the reader sees end-of-stream, so each handler
+        still answers a request that had already arrived whole, then
+        leaves its loop and closes its socket itself: nothing is
+        cancelled, and an idle client costs the drain nothing.
+        """
+        for reader, transport in list(self._idle.values()):
+            transport.pause_reading()
+            reader.feed_eof()
 
     def _log_event(self, event: str, **fields) -> None:
         if self.log is not None:
@@ -250,8 +286,10 @@ class ReachabilityService:
                                 writer: asyncio.StreamWriter) -> None:
         task = asyncio.current_task()
         self._connections.add(task)
+        idle = self._idle
         try:
             while not self._draining:
+                idle[task] = reader, writer.transport
                 try:
                     line = await reader.readline()
                 except (asyncio.IncompleteReadError, ConnectionError):
@@ -270,7 +308,11 @@ class ReachabilityService:
                     except (ConnectionError, RuntimeError):
                         pass
                     break
-                if not line:
+                finally:
+                    del idle[task]
+                if not line or (self._draining
+                                and not line.endswith(b"\n")):
+                    # end of stream, or drain cut a half-sent line
                     break
                 stripped = line.strip()
                 if not stripped:
@@ -345,12 +387,30 @@ class ReachabilityService:
 
     async def _dispatch_guarded(self, request: dict, op,
                                 request_id, trace) -> dict:
-        """Dispatch with the error taxonomy: exceptions become error
-        responses (the request fails, never the server)."""
+        """Dispatch with the error taxonomy and the request timeout:
+        exceptions become error responses (the request fails, never
+        the server).
+
+        The timeout is a loop timer that cancels this connection's own
+        task, not a wrapper task per request: its ``CancelledError`` is
+        answered as ``timeout`` only if the timer fired, and any other
+        cancellation (shutdown) propagates.
+        """
+        task = asyncio.current_task()
+        timed_out = False
+
+        def expire() -> None:
+            nonlocal timed_out
+            timed_out = True
+            task.cancel()
+
+        timer = asyncio.get_running_loop().call_later(
+            self.request_timeout, expire)
         try:
-            return await asyncio.wait_for(
-                self._dispatch(request, trace), self.request_timeout)
-        except asyncio.TimeoutError:
+            return await self._dispatch(request, trace)
+        except asyncio.CancelledError:
+            if not (timed_out and _withdraw_timeout(task)):
+                raise
             return self._error(
                 request_id, "timeout",
                 f"request exceeded {self.request_timeout}s")
@@ -375,6 +435,8 @@ class ReachabilityService:
         except Exception as exc:  # noqa: BLE001 - fail the request,
             return self._error(request_id, "internal",  # not the server
                                f"{type(exc).__name__}: {exc}")
+        finally:
+            timer.cancel()
 
     def _finish_query(self, trace: Trace, request: dict,
                       response: dict) -> None:
@@ -656,6 +718,9 @@ class ReachabilityService:
                 "p50_ms": 1e3 * p50,
                 "p99_ms": 1e3 * p99,
                 "p999_ms": 1e3 * p999,
+                # objects the cyclic collector skips (``serve`` freezes
+                # its startup heap; 0 for an embedded service)
+                "gc_frozen_objects": gc.get_freeze_count(),
             },
             "latency": {klass: histogram.summary()
                         for klass, histogram

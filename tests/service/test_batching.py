@@ -5,6 +5,7 @@ inside :func:`asyncio.run` from a plain synchronous test.
 """
 
 import asyncio
+import time
 
 import pytest
 
@@ -26,29 +27,99 @@ def make_manager() -> IndexManager:
 
 class TestCoalescing:
     def test_concurrent_submits_share_kernel_calls(self):
-        """Many concurrent clients produce far fewer kernel batches."""
+        """Many concurrent clients produce far fewer kernel batches,
+        with the no-wait flush (group commit) as with a coalescing
+        window."""
         manager = make_manager()
         graph = manager.snapshot.graph
         nodes = graph.nodes()
         pairs = [(u, v) for u in nodes for v in nodes]
 
-        async def scenario():
-            batcher = MicroBatcher(manager, max_batch=128,
-                                   max_wait_us=2000)
+        async def scenario(policy):
+            batcher = MicroBatcher(manager, max_batch=128, **policy)
             await batcher.start()
             answers = await asyncio.gather(
                 *(batcher.submit(u, v) for u, v in pairs))
             await batcher.close()
             return answers, batcher.stats()
 
-        answers, stats = asyncio.run(scenario())
-        for (u, v), (epoch, reachable) in zip(pairs, answers):
-            assert epoch == 0
-            assert reachable == bfs_reachable(graph, u, v)
-        assert stats["coalesced_queries"] == len(pairs)
-        # 81 queries coalesced into a handful of flushes, not 81
-        assert stats["batches"] < len(pairs) / 2
-        assert stats["largest_batch"] > 1
+        for policy in ({"max_wait_us": 0}, {"max_wait_us": 2000}):
+            answers, stats = asyncio.run(scenario(policy))
+            for (u, v), (epoch, reachable) in zip(pairs, answers):
+                assert epoch == 0
+                assert reachable == bfs_reachable(graph, u, v)
+            assert stats["coalesced_queries"] == len(pairs)
+            # 81 queries coalesced into a handful of flushes, not 81
+            assert stats["batches"] < len(pairs) / 2, policy
+            assert stats["largest_batch"] > 1, policy
+
+    def test_zero_wait_flush_never_sleeps(self, monkeypatch):
+        """At ``max_wait_us=0`` the flush is work-conserving: lone and
+        concurrent queries alike are answered without a timed sleep."""
+        manager = make_manager()
+        delays = []
+        real_sleep = asyncio.sleep
+
+        async def recording_sleep(delay, *args, **kwargs):
+            delays.append(delay)
+            return await real_sleep(delay, *args, **kwargs)
+
+        monkeypatch.setattr(asyncio, "sleep", recording_sleep)
+
+        async def scenario():
+            batcher = MicroBatcher(manager, max_wait_us=0)
+            await batcher.start()
+            lone = [await batcher.submit("a", "e") for _ in range(3)]
+            together = await asyncio.gather(
+                *(batcher.submit("f", "i") for _ in range(10)))
+            await batcher.close()
+            return lone, together
+
+        lone, together = asyncio.run(scenario())
+        assert lone == [(0, True)] * 3
+        assert together == [(0, True)] * 10
+        assert delays                            # the flush loop yielded
+        assert [delay for delay in delays if delay > 0] == []
+
+    @pytest.mark.parametrize("max_wait_us, loop_waits, slept_at_most", [
+        (900, [], 0.0009),                  # the default: all on the thread
+        (2500, [0.002], 0.0005),            # whole ms on the loop, rest slept
+    ])
+    def test_window_lasts_what_it_says(self, monkeypatch, max_wait_us,
+                                       loop_waits, slept_at_most):
+        """The event loop waits in whole milliseconds, so the window's
+        sub-millisecond rest is slept on the loop thread instead of
+        being rounded up to another millisecond."""
+        manager = make_manager()
+        delays, slept = [], []
+        real_sleep, real_thread_sleep = asyncio.sleep, time.sleep
+
+        async def recording_sleep(delay, *args, **kwargs):
+            delays.append(delay)
+            return await real_sleep(delay, *args, **kwargs)
+
+        def recording_thread_sleep(seconds):
+            slept.append(seconds)
+            real_thread_sleep(seconds)
+
+        monkeypatch.setattr(asyncio, "sleep", recording_sleep)
+        monkeypatch.setattr(time, "sleep", recording_thread_sleep)
+
+        async def scenario():
+            batcher = MicroBatcher(manager, max_wait_us=max_wait_us)
+            await batcher.start()
+            started = time.perf_counter()
+            answer = await batcher.submit("a", "e")
+            elapsed = time.perf_counter() - started
+            await batcher.close()
+            return answer, elapsed
+
+        answer, elapsed = asyncio.run(scenario())
+        assert answer == (0, True)
+        assert elapsed >= max_wait_us / 1e6
+        assert [delay for delay in delays if delay > 0] == loop_waits
+        assert len(slept) <= 1
+        assert all(0 < seconds <= slept_at_most for seconds in slept)
 
     def test_zero_wait_still_answers(self):
         manager = make_manager()

@@ -7,7 +7,10 @@ path ``repro-graph query --remote`` uses.
 """
 
 import json
+import logging
 import socket
+import threading
+import time
 
 import pytest
 
@@ -188,6 +191,52 @@ class TestLifecycle:
         handle.stop()
         with pytest.raises(OSError):
             socket.create_connection((host, port), timeout=1.0)
+
+    def test_stop_with_an_idle_client_is_prompt_and_quiet(
+            self, caplog, capfd):
+        """Drain ends idle connections at once instead of waiting out
+        ``drain_grace`` for them, cancels nothing (so nothing is logged),
+        and still lets a request in flight elsewhere finish."""
+        manager = IndexManager.from_graph(
+            DiGraph.from_edges(PAPER_FIG1_EDGES))
+        entered, release = threading.Event(), threading.Event()
+        real_add_edge = manager.add_edge
+
+        def parked_add_edge(*args, **kwargs):
+            entered.set()
+            release.wait(10.0)
+            return real_add_edge(*args, **kwargs)
+
+        manager.add_edge = parked_add_edge
+        handle = start_in_thread(manager, port=0, drain_grace=5.0)
+        address = handle.address
+        with socket.create_connection(address, timeout=10.0) as idle, \
+                socket.create_connection(address, timeout=10.0) as busy:
+            idle_reader = idle.makefile("rb")
+            busy_reader = busy.makefile("rb")
+            idle.sendall(b'{"op": "ping"}\n')
+            assert json.loads(idle_reader.readline())["ok"] is True
+            busy.sendall(b'{"op": "add_edge", "source": "e", '
+                         b'"target": "zz"}\n')
+            assert entered.wait(10.0)
+            with caplog.at_level(logging.WARNING, logger="asyncio"):
+                started = time.perf_counter()
+                stopper = threading.Thread(target=handle.stop)
+                stopper.start()
+                idle.settimeout(2.0)
+                assert idle_reader.readline() == b""   # closed by drain
+                release.set()
+                answer = json.loads(busy_reader.readline())
+                stopper.join(10.0)
+                elapsed = time.perf_counter() - started
+            idle_reader.close()
+            busy_reader.close()
+        assert not stopper.is_alive()
+        assert answer["ok"] is True and answer["added"] is True
+        assert elapsed < 1.0                         # drain_grace is 5 s
+        assert not [record for record in caplog.records
+                    if record.name == "asyncio"]
+        assert capfd.readouterr().err == ""
 
     def test_two_services_bind_distinct_ephemeral_ports(self):
         managers = [IndexManager.from_graph(

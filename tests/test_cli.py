@@ -429,6 +429,32 @@ class TestServe:
         assert b"serving" in stdout
         assert b"drained and stopped" in stdout
 
+    def test_serve_freezes_its_startup_heap(self, graph_file, tmp_path):
+        """The graph and index ``serve`` builds are frozen out of the
+        cyclic collector before it reports ready."""
+        from repro.service import ServiceClient
+        ready = tmp_path / "ready"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(
+            Path(__file__).resolve().parent.parent / "src")
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", graph_file,
+             "--port", "0", "--ready-file", str(ready)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            info = wait_ready(process, ready)
+            with ServiceClient(info["host"], info["port"]) as client:
+                server = client.stats()["server"]
+        finally:
+            process.send_signal(signal.SIGINT)
+            try:
+                process.communicate(timeout=30)
+            except subprocess.TimeoutExpired:
+                process.kill()
+                process.communicate()
+        # the built graph alone holds more tracked objects than this
+        assert server["gc_frozen_objects"] > 1000
+
     def test_serve_workers_subprocess_end_to_end(self, graph_file,
                                                  tmp_path, capsys):
         """``repro serve --workers 2``: the ready file lists two worker
